@@ -12,15 +12,20 @@ enough operands by their concrete values to stay linear:
   → the result is fully concretized (linear arithmetic cannot express
   them), matching CREST's behaviour for unsupported operators.
 
-A :class:`SymBool` carries a concrete ``bool`` plus an optional
-:class:`~repro.concolic.expr.Constraint`.  Forcing it with ``bool(...)``
-*outside* an instrumented branch probe records an **implicit branch** at
-the forcing source location — the analog of CIL normalizing short-circuit
-``&&``/``||`` into nested ``if`` statements.
+A :class:`SymBool` carries a concrete ``bool`` plus the comparison it
+witnessed.  Its :class:`~repro.concolic.expr.Constraint` is *deferred*:
+constraint-set reduction (§IV-C) keeps well under 1% of a loop's
+evaluations, so the constraint is built only when a sink admits the
+evaluation into the path, or when code reads :attr:`SymBool.constraint`.
+Forcing a SymBool with ``bool(...)`` *outside* an instrumented branch
+probe records an **implicit branch** at the forcing source location — the
+analog of CIL normalizing short-circuit ``&&``/``||`` into nested ``if``
+statements.
 """
 
 from __future__ import annotations
 
+import numbers
 import sys
 from typing import Any, Optional, Union
 
@@ -165,11 +170,21 @@ class SymInt:
     # comparisons → SymBool
     # ------------------------------------------------------------------
     def _compare(self, other: Any, op: str, concrete_result: bool) -> "SymBool":
-        lin = _as_linear(other)
-        if lin is None:
+        lin = self.lin
+        if isinstance(other, SymInt):
+            if lin.coeffs and other.lin.coeffs:
+                # variables on both sides may cancel (``x < x``): only the
+                # built constraint can tell, so build it now
+                c = make_comparison(lin, op, other.lin)
+                return SymBool(concrete_result, None if c.is_trivial else c)
+            symbolic = bool(lin.coeffs or other.lin.coeffs)
+        elif isinstance(other, int):
+            symbolic = bool(lin.coeffs)
+        else:
+            return SymBool(concrete_result, None)  # float etc: concrete only
+        if not symbolic:
             return SymBool(concrete_result, None)
-        c = make_comparison(self.lin, op, lin)
-        return SymBool(concrete_result, None if c.is_trivial else c)
+        return _deferred(concrete_result, lin, op, other)
 
     def __lt__(self, other: Any) -> "SymBool":
         return self._compare(other, "<", self.concrete < concrete(other))
@@ -184,12 +199,13 @@ class SymInt:
         return self._compare(other, ">=", self.concrete >= concrete(other))
 
     def __eq__(self, other: Any) -> Any:  # type: ignore[override]
-        if not isinstance(other, (int, SymInt)):
+        # non-int numbers (``x == 2.0``) compare concretely, like ``<``
+        if not isinstance(other, (int, SymInt, numbers.Number)):
             return NotImplemented
         return self._compare(other, "==", self.concrete == concrete(other))
 
     def __ne__(self, other: Any) -> Any:  # type: ignore[override]
-        if not isinstance(other, (int, SymInt)):
+        if not isinstance(other, (int, SymInt, numbers.Number)):
             return NotImplemented
         return self._compare(other, "!=", self.concrete != concrete(other))
 
@@ -223,33 +239,50 @@ class SymInt:
 
 
 class SymBool:
-    """Concolic boolean: concrete outcome + the constraint it witnessed."""
+    """Concolic boolean: concrete outcome + the comparison it witnessed.
 
-    __slots__ = ("concrete", "constraint")
+    :attr:`is_symbolic` is set at creation; the oriented constraint is
+    built on first read of :attr:`constraint` (see the module docstring).
+    """
+
+    __slots__ = ("concrete", "is_symbolic", "_constraint", "_lhs", "_op",
+                 "_rhs")
 
     def __init__(self, concrete_value: bool, constraint: Optional[Constraint]):
         self.concrete = bool(concrete_value)
-        #: the constraint satisfied by the current execution, oriented so
-        #: that it *holds* (i.e. already negated when concrete is False)
-        self.constraint = None
+        self.is_symbolic = constraint is not None
+        self._constraint = None
+        self._lhs = None
         if constraint is not None:
-            self.constraint = constraint if self.concrete else constraint.negated()
+            self._constraint = (constraint if self.concrete
+                                else constraint.negated())
 
     @property
-    def is_symbolic(self) -> bool:
-        return self.constraint is not None
+    def constraint(self) -> Optional[Constraint]:
+        """The constraint satisfied by the current execution, oriented so
+        that it *holds* (i.e. already negated when concrete is False);
+        ``None`` when the comparison has no symbolic content."""
+        c = self._constraint
+        if c is None and self._lhs is not None:
+            c = make_comparison(self._lhs, self._op, _as_linear(self._rhs))
+            if not self.concrete:
+                c = c.negated()
+            self._constraint = c
+            self._lhs = self._rhs = None
+        return c
 
     def observe(self, site: int) -> bool:
         """Record this evaluation against branch ``site`` (probe entry)."""
         sink = current_sink()
         if sink is not None and hasattr(sink, "on_branch"):
-            sink.on_branch(site, self.concrete, self.constraint)
+            sink.on_branch(site, self.concrete,
+                           self if self.is_symbolic else None)
         return self.concrete
 
     def __bool__(self) -> bool:
         # Forced outside a probe (short-circuit and/or, assert, plain
         # assignment use): record an implicit branch at the caller.
-        if self.constraint is not None:
+        if self.is_symbolic:
             sink = current_sink()
             if sink is not None and hasattr(sink, "on_implicit_branch"):
                 # Site identity is (file, function, line).  Deliberately no
@@ -259,15 +292,31 @@ class SymBool:
                 f = sys._getframe(1)
                 sink.on_implicit_branch(
                     (f.f_code.co_filename, f.f_code.co_name, f.f_lineno),
-                    self.concrete, self.constraint)
+                    self.concrete, self)
         return self.concrete
 
     def __invert__(self) -> "SymBool":
         # The inverted condition is witnessed by the *same* execution, so
-        # the held constraint is unchanged; only the concrete flips.
+        # the held constraint is unchanged (the very same object); only
+        # the concrete flips.
         inv = SymBool(not self.concrete, None)
-        inv.constraint = self.constraint
+        inv.is_symbolic = self.is_symbolic
+        inv._constraint = self.constraint
         return inv
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SymBool({self.concrete}, {self.constraint!r})"
+
+
+def _deferred(concrete_value: bool, lhs: LinearExpr, op: str,
+              rhs: IntLike) -> SymBool:
+    """A symbolic SymBool for ``lhs ⋈ rhs`` whose constraint is built on
+    first read of :attr:`SymBool.constraint`."""
+    b = SymBool.__new__(SymBool)
+    b.concrete = concrete_value
+    b.is_symbolic = True
+    b._constraint = None
+    b._lhs = lhs
+    b._op = op
+    b._rhs = rhs
+    return b

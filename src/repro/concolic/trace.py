@@ -18,6 +18,7 @@ runaway loops in instrumented code can be cancelled by the watchdog.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -26,7 +27,7 @@ from .coverage import CoverageMap
 from .expr import (KIND_INPUT, KIND_RC, KIND_RW, KIND_SC, KIND_SW,
                    Constraint, LinearExpr, Var)
 from .reduction import ReductionFilter
-from .sym import SymInt
+from .sym import SymBool, SymInt
 
 #: probe calls between stop-event polls (keeps the common path cheap)
 _STOP_POLL_PERIOD = 256
@@ -122,7 +123,7 @@ class LightSink:
 
     # -- probes ----------------------------------------------------------
     def on_branch(self, site: int, outcome: bool,
-                  constraint: Optional[Constraint] = None) -> None:
+                  cond: Optional[SymBool] = None) -> None:
         self._poll_stop()
         self.coverage.add_branch(site, outcome)
 
@@ -147,6 +148,20 @@ class LightSink:
         lines = [f"{s},{int(d)}" for (s, d) in sorted(self.coverage.branches)]
         lines += [f"f{fid}" for fid in sorted(self.coverage.functions)]
         return ("\n".join(lines) + "\n").encode()
+
+    def log_size(self) -> int:
+        """``len(self.serialize())``, counted without building the bytes.
+
+        Every line is ASCII (``site,outcome`` / ``f<fid>``) plus its
+        newline; an empty log is the single newline ``b"\\n"``.
+        """
+        self.flush()
+        cov = self.coverage
+        if not cov.branches and not cov.functions:
+            return 1
+        # "<site>,<0|1>\n" and "f<fid>\n"
+        return (sum(len(str(s)) + 3 for s, _ in cov.branches)
+                + sum(len(str(fid)) + 2 for fid in cov.functions))
 
 
 class HeavySink(LightSink):
@@ -236,25 +251,29 @@ class HeavySink(LightSink):
 
     # -- probes ------------------------------------------------------------
     def on_branch(self, site: int, outcome: bool,
-                  constraint: Optional[Constraint] = None) -> None:
+                  cond: Optional[SymBool] = None) -> None:
+        """Record one branch evaluation.  ``cond`` is the symbolic
+        comparison it evaluated (``None`` when concrete); its constraint
+        is built only if constraint-set reduction keeps this evaluation,
+        so the path holds real :class:`Constraint` objects only."""
         self._poll_stop()
         outcome = bool(outcome)
         self.event_count += 1
         self.coverage.add_branch(site, outcome)
         if self.log_events:
             self._event_log.append((site, outcome))
-        if constraint is not None and self.reduction.should_record(site, outcome):
-            self.path.append(PathEntry(site, outcome, constraint))
+        if cond is not None and self.reduction.should_record(site, outcome):
+            self.path.append(PathEntry(site, outcome, cond.constraint))
 
     def on_implicit_branch(self, key: tuple, outcome: bool,
-                           constraint: Constraint) -> None:
+                           cond: SymBool) -> None:
         """A SymBool forced outside a probe (short-circuit &&/|| analog)."""
         sid = self._implicit_sites.get(key)
         if sid is None:
             sid = self._implicit_next
             self._implicit_next -= 1
             self._implicit_sites[key] = sid
-        self.on_branch(sid, outcome, constraint)
+        self.on_branch(sid, outcome, cond)
 
     # -- results -------------------------------------------------------------
     def result(self) -> TraceResult:
@@ -282,3 +301,22 @@ class HeavySink(LightSink):
             for s, d in self._event_log:
                 parts.append(f"ev {s} {int(d)}\n".encode())
         return b"".join(parts)
+
+    def log_size(self) -> int:
+        """``len(self.serialize())``, counted without building the bytes.
+
+        ``var`` lines are encoded (input names may be non-ASCII); ``pc``
+        and ``ev`` lines are ASCII, and the event log is counted once
+        per distinct ``(site, outcome)``.
+        """
+        size = super().log_size()
+        for var in self.vars:
+            size += len(f"var {var.vid} {var.name} {var.kind} = "
+                        f"{self.values[var.vid]}\n".encode())
+        for pe in self.path:
+            size += len(f"pc {pe.site} {int(pe.outcome)} {pe.constraint!r}\n")
+        if self.log_events:
+            # "ev <site> <0|1>\n"
+            size += sum(n * (len(str(s)) + 6)
+                        for (s, _), n in Counter(self._event_log).items())
+        return size

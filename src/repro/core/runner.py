@@ -7,7 +7,8 @@ others), waits (with the hang-detection timeout), then harvests:
   variables, mapping table) — what drives input generation;
 * merged coverage — across **all** ranks when the framework is on,
   focus-only when it is off (the No_Fwk baseline);
-* per-rank serialized log sizes (the I/O of Table IV);
+* per-rank serialized log sizes (the I/O of Table IV), counted by
+  :meth:`~repro.concolic.trace.LightSink.log_size` without serializing;
 * an error classification matching the paper's bug surface: assertion
   violations, segmentation faults, floating-point exceptions, aborts,
   and hangs (timeouts).
@@ -382,7 +383,7 @@ class TestRunner:
             # No_Fwk records the focus process only (§VI-E)
             coverage = sinks[focus].coverage.copy()
 
-        log_sizes = [len(s.serialize()) for s in sinks]
+        log_sizes = [s.log_size() for s in sinks]
         nonfocus = [n for r, n in enumerate(log_sizes) if r != focus]
 
         return RunRecord(

@@ -75,13 +75,13 @@ def make_probes(registry: SiteRegistry) -> dict[str, Callable]:
             # skip the symbolic-proxy type checks entirely
             outcome = val
         elif isinstance(val, SymBool):
-            if val.constraint is not None:
+            if val.is_symbolic:
                 return val.observe(sid)       # symbolic: full probe path
             outcome = val.concrete
         elif isinstance(val, SymInt):
             # C truthiness `if (x)` ≡ `x != 0`
             sb = val != 0
-            if isinstance(sb, SymBool) and sb.constraint is not None:
+            if isinstance(sb, SymBool) and sb.is_symbolic:
                 return sb.observe(sid)        # symbolic: full probe path
             outcome = val.concrete != 0
         else:

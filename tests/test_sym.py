@@ -111,6 +111,19 @@ def test_eq_ne_with_non_int_fall_back():
     assert (x != None) is True  # noqa: E711 - exercising the fallback
 
 
+def test_eq_ne_with_float_agree_with_plain_ints():
+    # `2 == 2.0` is True in the plain program; the concolic run must take
+    # the same branch, with no constraint (floats have no linear shadow)
+    x = sym(0, 2)
+    for other in (2.0, 2.5, -0.0):
+        eq, ne = x == other, x != other
+        assert eq.concrete is (2 == other) and eq.constraint is None
+        assert ne.concrete is (2 != other) and ne.constraint is None
+        assert not eq.is_symbolic and not ne.is_symbolic
+    assert bool(x == 2.0) and not bool(x != 2.0)
+    assert (2.0 == x).concrete is True      # reflected: float defers to SymInt
+
+
 def test_comparison_with_float_is_concrete_only():
     x = sym(0, 10)
     b = x < 10.5
